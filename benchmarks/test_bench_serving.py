@@ -9,9 +9,8 @@ microbatch sizes 4 and 8, plus the cost of priming the KV cache
 token-at-a-time versus the chunked causal prefill, the prefix-cache
 speedup on a few-shot text-to-SQL sweep whose prompts share a long
 header, speculative decoding with a distilled 1-layer draft against
-plain batched decode on that same sweep, the int8 weight-quantization
-kernel against the fp64 matmul it replaces, and the slab KV cache
-versus the legacy concatenate-per-token growth at batch 8.
+plain batched decode on that same sweep, and the int8 weight-quantization
+kernel against the fp64 matmul it replaces.
 Machine-readable results land in ``benchmarks/BENCH_serving.json`` via
 the ``bench_metrics`` fixture.
 """
@@ -100,11 +99,15 @@ def test_bench_batch_throughput(benchmark, report_printer, bench_metrics, setup)
 
 def _token_at_a_time_prefill(model, prompt):
     """The pre-serving priming loop: one forward per prompt token."""
-    caches = model.init_cache()
+    caches = model.init_cache(batch_size=1, capacity=len(prompt))
     with no_grad():
         for position, token in enumerate(prompt):
-            logits = model.forward_incremental(
-                np.array([[token]], dtype=np.int64), position, caches
+            logits = model.forward_chunk(
+                np.array([[token]], dtype=np.int64),
+                np.array([[position]]),
+                caches,
+                write_cols=np.array([position]),
+                kv_len=position + 1,
             )
     return logits
 
@@ -113,14 +116,16 @@ def _chunked_prefill(model, prompt):
     """One causal forward over the whole prompt."""
     from repro.nn.attention import causal_mask
 
-    caches = model.init_cache()
     length = len(prompt)
+    caches = model.init_cache(batch_size=1, capacity=length)
     with no_grad():
         return model.forward_chunk(
             np.array([prompt], dtype=np.int64),
             np.arange(length)[None, :],
             caches,
             blocked=causal_mask(length)[None, None, :, :],
+            write_cols=slice(0, length),
+            kv_len=length,
         )
 
 
@@ -414,43 +419,3 @@ def test_bench_int8_sweep_identity(report_printer, bench_metrics, sweep_setup):
 
     assert quant_texts == base_texts
     assert 0.0 < report.max_abs_error < 0.05
-
-
-# -- slab KV cache vs legacy concatenate growth at batch 8 -----------------
-def _decode_seconds(model, layout: str, steps: int, batch: int) -> float:
-    rng = np.random.default_rng(7)
-    ids = rng.integers(1, model.config.vocab_size, size=(batch, steps))
-    caches = model.init_cache(layout=layout)
-    with no_grad():
-        start = time.perf_counter()
-        for position in range(steps):
-            model.forward_incremental(
-                ids[:, position: position + 1], position, caches
-            )
-        return time.perf_counter() - start
-
-
-def test_bench_slab_vs_concat(report_printer, bench_metrics, setup):
-    """Preallocated slab appends must not lose to concatenate growth."""
-    model, _ = setup
-    steps = model.config.max_seq_len
-    batch = 8
-    _decode_seconds(model, "slab", 8, batch)  # warmup
-    legacy = min(_decode_seconds(model, "legacy", steps, batch) for _ in range(3))
-    slab = min(_decode_seconds(model, "slab", steps, batch) for _ in range(3))
-
-    report_printer(
-        f"SERVING: KV-cache layout, batch {batch} x {steps} decode steps",
-        [
-            f"{'layout':<34}{'seconds':>10}{'ratio':>10}",
-            f"{'legacy (concatenate per token)':<34}{legacy:>10.3f}{1.0:>10.2f}",
-            f"{'slab (in-place, amortized 2x)':<34}{slab:>10.3f}"
-            f"{slab / legacy:>10.2f}",
-        ],
-    )
-
-    bench_metrics["slab_vs_concat_batch8_ratio"] = round(slab / legacy, 3)
-
-    # The slab path must be at least as fast as concatenate growth
-    # (10% tolerance for timer noise at this tiny model scale).
-    assert slab <= legacy * 1.1

@@ -38,8 +38,8 @@ the offending line):
   comprehension) in the model/serving hot paths (``nn``,
   ``generation``, ``serving``, ``models``); growing an array by
   concatenation per iteration is O(n²) traffic — write into a
-  preallocated slab (:class:`repro.serving.KVCache`-style) and
-  suppress the rare amortized concat explicitly;
+  preallocated slab (like the slotted ``GPTModel.init_cache`` K/V
+  caches) and suppress the rare amortized concat explicitly;
 * ``shared-state-mutation`` — an ``async def`` writes a ``self.*``
   attribute (assignment, augmented assignment, subscript store, or a
   mutating container-method call); between any two awaits another task
@@ -532,8 +532,8 @@ def _check_concat_in_loop(tree: ast.Module, path: str) -> List[Finding]:
                     rule="concat-in-loop",
                     message="np.concatenate inside a loop copies the whole "
                     "array per iteration (O(n²) traffic); write into a "
-                    "preallocated slab (repro.serving.KVCache-style) "
-                    "instead",
+                    "preallocated slab (like the slotted "
+                    "GPTModel.init_cache K/V caches) instead",
                     line=node.lineno,
                     source=path,
                 )

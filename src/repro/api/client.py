@@ -8,16 +8,15 @@ shape of ``openai.Completion.create``.
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ModelError
-from repro.generation import GenerationConfig, generate
+from repro.generation import GenerationConfig
 from repro.generation.decoding import TokenConstraint
 from repro.models import GPTModel
 from repro.api.hub import ModelHub
-from repro.nn import QuantizationReport, quantize_model, set_fused_attention
+from repro.nn import QuantizationReport, quantize_model
 from repro.reliability.clock import Clock, SystemClock
 from repro.serving import BatchRequest, BatchScheduler, PrefixCache, SemanticCache
 
@@ -187,9 +186,6 @@ class CompletionClient:
     * ``int8_weights`` serves each engine through an int8
       weight-quantized copy (:func:`repro.nn.quantize_model`;
       per-engine :meth:`quantization_report` gives the weight error).
-    * ``fused_attention`` enables the blocked online-softmax attention
-      kernel on the serving copy (numerically equivalent, not
-      bit-identical — see :func:`repro.nn.fused_attention`).
     * ``speculative_draft`` names another hub engine to use as a
       speculative-decoding draft model for greedy requests; outputs
       stay token-identical while each target forward advances up to
@@ -214,7 +210,6 @@ class CompletionClient:
         prefix_cache_bytes: int = DEFAULT_PREFIX_CACHE_BYTES,
         clock: Optional[Clock] = None,
         int8_weights: bool = False,
-        fused_attention: bool = False,
         speculative_draft: Optional[str] = None,
         speculative_k: int = 4,
         semantic_cache_bytes: int = 0,
@@ -224,7 +219,6 @@ class CompletionClient:
         self.prefix_cache_bytes = prefix_cache_bytes
         self.clock: Clock = clock if clock is not None else SystemClock()
         self.int8_weights = int8_weights
-        self.fused_attention = fused_attention
         self.speculative_draft = speculative_draft
         self.speculative_k = speculative_k
         if semantic_cache is not None:
@@ -239,32 +233,23 @@ class CompletionClient:
         self._semcache_models: Dict[str, object] = {}
         # engine -> (hub model, serving copy, quantization report)
         self._serving_models: Dict[
-            str, Tuple[object, object, Optional[QuantizationReport]]
+            str, Tuple[object, object, QuantizationReport]
         ] = {}
 
     def _serving_model(self, engine: str):
         """The model actually served for ``engine`` (transforms applied).
 
-        With all acceleration flags off this is the hub's model object
-        itself — no copy, bit-identical behavior. Otherwise a cached
-        per-engine copy with int8 weights and/or fused attention,
-        rebuilt whenever the hub re-registers the engine.
+        With ``int8_weights`` off this is the hub's model object itself
+        — no copy, bit-identical behavior. Otherwise a cached per-engine
+        int8 copy, rebuilt whenever the hub re-registers the engine.
         """
         entry = self.hub.get(engine)
         model = entry.model
-        if not isinstance(model, GPTModel):
-            return model
-        if not (self.int8_weights or self.fused_attention):
+        if not isinstance(model, GPTModel) or not self.int8_weights:
             return model
         stored = self._serving_models.get(engine)
         if stored is None or stored[0] is not model:
-            report: Optional[QuantizationReport] = None
-            if self.int8_weights:
-                serving, report = quantize_model(model)
-            else:
-                serving = copy.deepcopy(model)
-            if self.fused_attention:
-                set_fused_attention(serving)
+            serving, report = quantize_model(model)
             stored = (model, serving, report)
             self._serving_models[engine] = stored
         return stored[1]
@@ -385,63 +370,23 @@ class CompletionClient:
         semantic cache enabled, an exact repeat returns its cached
         response without touching the engine; ``allow_similar=True``
         additionally accepts a near-duplicate prompt's completion.
+
+        A batch of one through :meth:`complete_batch`, so both entry
+        points share one decode path, one billing rule and the engine's
+        prefix cache.
         """
-        entry = self.hub.get(engine)
-        if not isinstance(entry.model, GPTModel):
-            raise ModelError(f"engine {engine!r} is not a causal (completion) model")
-        model = self._serving_model(engine)
-        tokenizer = entry.tokenizer
-        if n <= 0:
-            raise ModelError("n must be positive")
-        cache = self._completion_cache(engine) if constraint is None else None
-        key = None
-        if cache is not None:
-            key = self._cache_key(
-                engine, prompt, max_tokens, temperature, top_p, n, stop, seed
-            )
-            self.engine_stats(engine).cache_lookups += 1
-            hit = cache.lookup(
-                key, group=engine, text=prompt, allow_similar=allow_similar
-            )
-            if hit is not None:
-                return self._record_cache_hit(engine, hit)
-        draft = self._draft_model()
-
-        prompt_ids = tokenizer.encode(prompt, add_bos=True).ids
-        choices: List[CompletionChoice] = []
-        completion_tokens = 0
-        for index in range(n):
-            config = _request_config(
-                tokenizer, max_tokens, temperature, top_p, seed + index
-            )
-            if draft is not None and config.strategy == "greedy":
-                from repro.serving.speculative import speculative_generate
-
-                out_ids = speculative_generate(
-                    model, draft, prompt_ids, config, constraint,
-                    k=self.speculative_k,
-                )
-            else:
-                out_ids = generate(model, prompt_ids, config, constraint)
-            choice, choice_tokens = _finish_choice(
-                tokenizer, out_ids, index, stop, max_tokens
-            )
-            completion_tokens += choice_tokens
-            choices.append(choice)
-        stats = self.engine_stats(engine)
-        stats.requests += 1
-        stats.prompt_tokens += len(prompt_ids)
-        stats.completion_tokens += completion_tokens
-        response = CompletionResponse(
-            engine=engine,
-            choices=choices,
-            usage=Usage(
-                prompt_tokens=len(prompt_ids), completion_tokens=completion_tokens
-            ),
-        )
-        if cache is not None:
-            self._cache_insert(cache, key, engine, prompt, response)
-        return response
+        return self.complete_batch(
+            engine,
+            [prompt],
+            max_tokens=max_tokens,
+            temperature=temperature,
+            top_p=top_p,
+            n=n,
+            stop=stop,
+            seed=seed,
+            constraints=[constraint],
+            allow_similar=allow_similar,
+        )[0]
 
     def complete_batch(
         self,
@@ -462,7 +407,7 @@ class CompletionClient:
     ) -> List[CompletionResponse]:
         """Complete many prompts in one serving pass; one response per prompt.
 
-        Decoding semantics match per-prompt :meth:`complete` — greedy at
+        Each prompt decodes as it would alone — greedy at
         ``temperature == 0``, choice ``j`` samples with ``seed + j`` —
         but prompts share vectorized model forwards (and a request's
         ``n`` choices share one prompt prefill), so throughput scales

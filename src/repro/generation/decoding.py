@@ -17,7 +17,6 @@ import numpy as np
 from repro.autograd import no_grad
 from repro.errors import GenerationError
 from repro.models.gpt import GPTModel
-from repro.nn.attention import causal_mask
 from repro.tokenizers import Tokenizer
 from repro.utils.rng import SeededRNG
 
@@ -84,20 +83,27 @@ def generate(
     context window slides if the sequence would exceed the model's
     ``max_seq_len``.
 
-    ``use_cache=True`` (the default) reuses per-layer key/value caches
-    (the standard incremental-decoding optimization): the prompt is
-    primed with one chunked causal forward and each step then costs
-    O(context) attention instead of a full O(context^2) re-encode,
-    producing the same greedy token sequences. The cached path requires
-    the whole sequence to fit the context window; otherwise it falls
-    back to the sliding-window re-encode automatically.
+    ``use_cache=True`` (the default) decodes through the serving
+    engine's KV-cached loop as a batch of one
+    (:class:`repro.serving.BatchedGenerator`): the prompt is primed
+    with one chunked causal forward and each step then costs
+    O(context) attention instead of a full O(context^2) re-encode.
+    That loop requires the whole sequence to fit the context window;
+    otherwise — and always with ``use_cache=False``, the oracle the
+    cached paths are tested against — every step re-encodes a sliding
+    window.
     """
     config = config or GenerationConfig()
     if not prompt_ids:
         raise GenerationError("prompt must contain at least one token")
     fits = len(prompt_ids) + config.max_new_tokens <= model.config.max_seq_len
     if use_cache and fits:
-        return _generate_cached(model, prompt_ids, config, constraint)
+        # repro.serving builds on this module, so import at call time.
+        from repro.serving.engine import BatchedGenerator, BatchRequest
+
+        request = BatchRequest(prompt_ids, config, constraint=constraint)
+        (result,) = BatchedGenerator(model).generate([request])
+        return result.sequences[0]
     return _generate_recompute(model, prompt_ids, config, constraint)
 
 
@@ -122,41 +128,6 @@ def _generate_recompute(
             break
         generated.append(next_id)
         ids.append(next_id)
-    return generated
-
-
-def _generate_cached(
-    model: GPTModel,
-    prompt_ids: Sequence[int],
-    config: GenerationConfig,
-    constraint: Optional[TokenConstraint],
-) -> List[int]:
-    rng = SeededRNG(config.seed)
-    model.eval()
-    caches = model.init_cache()
-    generated: List[int] = []
-
-    with no_grad():
-        # Chunked causal prefill: one forward over the whole prompt with
-        # an in-chunk causal mask, instead of priming one token at a time.
-        length = len(prompt_ids)
-        prompt = np.array([prompt_ids], dtype=np.int64)
-        positions = np.arange(length)[None, :]
-        blocked = causal_mask(length)[None, None, :, :]
-        logits = model.forward_chunk(prompt, positions, caches, blocked=blocked)
-        next_logits = logits.data[0, -1].copy()
-
-        position = length
-        for _ in range(config.max_new_tokens):
-            next_id = _next_token(next_logits, generated, config, constraint, rng)
-            if next_id is None or next_id in config.stop_ids:
-                break
-            generated.append(next_id)
-            logits = model.forward_incremental(
-                np.array([[next_id]], dtype=np.int64), position, caches
-            )
-            next_logits = logits.data[0, -1].copy()
-            position += 1
     return generated
 
 

@@ -8,7 +8,7 @@ embedding (as in GPT-2/GPT-3).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -74,24 +74,14 @@ class GPTModel(Module):
         return hidden @ self.token_emb.weight.transpose(1, 0)
 
     # -- incremental decoding (KV cache) -----------------------------------
-    def init_cache(
-        self,
-        batch_size: Optional[int] = None,
-        capacity: Optional[int] = None,
-        layout: str = "slab",
-    ) -> list:
-        """Fresh per-layer K/V caches for cached decoding.
+    def init_cache(self, batch_size: int, capacity: int) -> list:
+        """Fresh per-layer slotted K/V caches, each (B, H, capacity, D/H).
 
-        With no arguments: in-place :class:`~repro.serving.kvcache.KVCache`
-        slabs for the single-sequence :meth:`forward_incremental` path
-        (``layout="legacy"`` selects the old concatenate-per-token
-        dicts). With ``batch_size`` and ``capacity``: preallocated
-        slotted caches for the padding-aware batched path of
-        :mod:`repro.serving`.
+        The padding-aware layout of :mod:`repro.serving`: row ``r``'s
+        keys occupy columns ``0..len-1`` and the caller's mask blocks
+        everything beyond.
         """
-        return self.stack.init_cache(
-            batch_size=batch_size, capacity=capacity, layout=layout
-        )
+        return self.stack.init_cache(batch_size, capacity)
 
     def encode_chunk(
         self,
@@ -99,8 +89,9 @@ class GPTModel(Module):
         positions: np.ndarray,
         caches: list,
         blocked: Optional[np.ndarray] = None,
-        write_cols: Optional[object] = None,
-        kv_len: Optional[int] = None,
+        *,
+        write_cols: Union[slice, np.ndarray],
+        kv_len: int,
     ) -> Tensor:
         """Hidden states for a chunk of new positions, updating the caches.
 
@@ -131,8 +122,9 @@ class GPTModel(Module):
         positions: np.ndarray,
         caches: list,
         blocked: Optional[np.ndarray] = None,
-        write_cols: Optional[object] = None,
-        kv_len: Optional[int] = None,
+        *,
+        write_cols: Union[slice, np.ndarray],
+        kv_len: int,
     ) -> Tensor:
         """Logits for a chunk of new positions (see :meth:`encode_chunk`)."""
         hidden = self.encode_chunk(
@@ -140,23 +132,3 @@ class GPTModel(Module):
             blocked=blocked, write_cols=write_cols, kv_len=kv_len,
         )
         return self.logits_from_hidden(hidden)
-
-    def forward_incremental(
-        self, ids_step: np.ndarray, position: int, caches: list
-    ) -> Tensor:
-        """Logits for one new position, reusing cached keys/values.
-
-        Inference-only. ``ids_step`` has shape (B, 1); ``position`` is
-        the absolute position of that token. Produces logits identical
-        to a full :meth:`forward` over the whole prefix.
-        """
-        ids_step = np.asarray(ids_step, dtype=np.int64)
-        if ids_step.ndim != 2 or ids_step.shape[1] != 1:
-            raise ModelError(f"ids_step must be (batch, 1), got {ids_step.shape}")
-        if position >= self.config.max_seq_len:
-            raise ModelError(
-                f"position {position} exceeds max_seq_len {self.config.max_seq_len}"
-            )
-        return self.forward_chunk(
-            ids_step, np.full_like(ids_step, position), caches
-        )

@@ -8,7 +8,7 @@ masks are boolean numpy arrays (True = *blocked* position).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -58,56 +58,6 @@ def chunk_causal_mask(start: int, stop: int) -> np.ndarray:
     return causal_mask(stop)[start:stop]
 
 
-#: key-block width of the fused attention path; bounds the widest score
-#: slab materialized at once to (B, H, T, _FUSED_BLOCK)
-_FUSED_BLOCK = 128
-
-
-def fused_attention(
-    q: np.ndarray,
-    keys: np.ndarray,
-    values: np.ndarray,
-    blocked: Optional[np.ndarray] = None,
-    scale: float = 1.0,
-    block_size: int = _FUSED_BLOCK,
-) -> np.ndarray:
-    """Blocked score+softmax+value attention with an online softmax.
-
-    Computes ``softmax(q @ keys^T * scale) @ values`` without ever
-    materializing the full (B, H, T, S) score matrix: keys are swept in
-    blocks of ``block_size`` columns and the running max / denominator /
-    context are rescaled as each block lands (the flash-attention
-    recurrence, in numpy). Peak intermediate memory is bounded by the
-    block width instead of the key length, which is what keeps a
-    long-context prefill from allocating a quadratic score slab.
-
-    ``q`` is (B, H, T, head_dim); ``keys``/``values`` are
-    (B, H, S, head_dim); ``blocked`` is broadcastable to (B, H, T, S)
-    with True = masked. Results match the unfused path up to float
-    rounding (the summation order differs), not bit-exactly.
-    """
-    batch, heads, t, head_dim = q.shape
-    s = keys.shape[2]
-    running_max = np.full((batch, heads, t, 1), -np.inf)
-    denom = np.zeros((batch, heads, t, 1))
-    acc = np.zeros((batch, heads, t, head_dim))
-    for start in range(0, s, block_size):
-        stop = min(start + block_size, s)
-        scores = (q @ keys[:, :, start:stop].transpose(0, 1, 3, 2)) * scale
-        if blocked is not None:
-            scores = np.where(blocked[..., start:stop], NEG_INF, scores)
-        block_max = scores.max(axis=-1, keepdims=True)
-        new_max = np.maximum(running_max, block_max)
-        # exp(-inf - finite) == 0, so the first block's correction
-        # cleanly zeroes the empty running state.
-        correction = np.exp(running_max - new_max)
-        weights = np.exp(scores - new_max)
-        denom = denom * correction + weights.sum(axis=-1, keepdims=True)
-        acc = acc * correction + weights @ values[:, :, start:stop]
-        running_max = new_max
-    return acc / denom
-
-
 def padding_mask(attention_mask: np.ndarray) -> np.ndarray:
     """Turn a (B, T) 1/0 attention mask into a (B, 1, 1, T) blocked mask.
 
@@ -142,9 +92,6 @@ class MultiHeadAttention(Module):
         self.out = Linear(dim, dim, rng.spawn("o"))
         self.attn_dropout = Dropout(dropout, rng.spawn("attn_drop"))
         self._last_attention: Optional[np.ndarray] = None
-        # Opt-in blocked/fused softmax for the incremental path (see
-        # fused_attention); off by default so serving stays bit-identical.
-        self.fused = False
 
     def forward(
         self, x: Tensor, attention_mask: Optional[np.ndarray] = None
@@ -197,8 +144,9 @@ class MultiHeadAttention(Module):
         x: Tensor,
         cache: dict,
         blocked: Optional[np.ndarray] = None,
-        write_cols: Optional[object] = None,
-        kv_len: Optional[int] = None,
+        *,
+        write_cols: Union[slice, np.ndarray],
+        kv_len: int,
     ) -> Tensor:
         """Attend new positions against cached keys/values.
 
@@ -208,26 +156,14 @@ class MultiHeadAttention(Module):
         in-chunk causal mask). The cache accumulates this layer's K/V
         across steps so earlier positions are never recomputed.
 
-        Three cache layouts are supported:
-
-        * **slab** (``write_cols is None``, cache is a
-          :class:`repro.serving.kvcache.KVCache`): the new K/V columns
-          are written in place into a preallocated slab with amortized
-          capacity doubling — the default single-sequence layout of
-          :func:`repro.generation.generate` (recognized by duck typing
-          so ``repro.nn`` never imports ``repro.serving``).
-        * **growing** (``write_cols is None``, cache is a dict):
-          ``cache["k"]``/``"v"`` are concatenated along the sequence
-          axis each call — the legacy O(n²)-traffic layout, kept as the
-          regression reference for the slab path.
-        * **slotted** (``write_cols`` given): ``cache["k"]``/``"v"`` are
-          preallocated slabs of shape (B, H, capacity, D/H); the new K/V
-          are scattered at ``write_cols`` (a ``slice`` of columns for a
-          prefill chunk, a per-row int array for ragged decode steps, or
-          a per-row (B, T) column matrix for ragged multi-token chunks —
-          the speculative verify forward) and only the first ``kv_len``
-          key columns are attended. This is the padding-aware batched
-          layout of :mod:`repro.serving`.
+        The cache is slotted: ``cache["k"]``/``"v"`` are preallocated
+        slabs of shape (B, H, capacity, D/H); the new K/V are scattered
+        at ``write_cols`` (a ``slice`` of columns for a prefill chunk, a
+        per-row int array for ragged decode steps, or a per-row (B, T)
+        column matrix for ragged multi-token chunks — the speculative
+        verify forward) and only the first ``kv_len`` key columns are
+        attended. This is the padding-aware batched layout of
+        :mod:`repro.serving`.
 
         ``blocked`` is a boolean mask broadcastable to (B, H, T, S_kv),
         True = position blocked (causal future, padding, or another
@@ -237,23 +173,9 @@ class MultiHeadAttention(Module):
         q = self._split_heads(self.query(x), batch, seq).data
         k = self._split_heads(self.key(x), batch, seq).data
         v = self._split_heads(self.value(x), batch, seq).data
-        if write_cols is None:
-            if isinstance(cache, dict):
-                # Legacy growing layout: O(n²) traffic over a decode,
-                # kept only as the regression reference for the slab.
-                cache["k"] = (
-                    k if "k" not in cache else np.concatenate([cache["k"], k], axis=2)
-                )
-                cache["v"] = (
-                    v if "v" not in cache else np.concatenate([cache["v"], v], axis=2)
-                )
-                keys, values = cache["k"], cache["v"]
-            else:
-                keys, values = cache.append(k, v)
-        elif isinstance(write_cols, slice):
+        if isinstance(write_cols, slice):
             cache["k"][:, :, write_cols] = k
             cache["v"][:, :, write_cols] = v
-            keys, values = cache["k"][:, :, :kv_len], cache["v"][:, :, :kv_len]
         else:
             rows = np.arange(batch)
             cols = np.asarray(write_cols)
@@ -265,18 +187,8 @@ class MultiHeadAttention(Module):
             else:
                 cache["k"][rows, :, cols] = k[:, :, 0]
                 cache["v"][rows, :, cols] = v[:, :, 0]
-            keys, values = cache["k"][:, :, :kv_len], cache["v"][:, :, :kv_len]
+        keys, values = cache["k"][:, :, :kv_len], cache["v"][:, :, :kv_len]
 
-        if self.fused:
-            # Blocked online-softmax path; attention weights are never
-            # materialized in full, so last_attention is not recorded.
-            self._last_attention = None
-            context = fused_attention(
-                q, keys, values, blocked=blocked,
-                scale=1.0 / np.sqrt(self.head_dim),
-            )
-            merged = context.transpose(0, 2, 1, 3).reshape(batch, seq, self.dim)
-            return self.out(Tensor(merged))
         scores = (q @ keys.transpose(0, 1, 3, 2)) / np.sqrt(self.head_dim)
         if blocked is not None:
             scores = np.where(blocked, NEG_INF, scores)
@@ -287,18 +199,3 @@ class MultiHeadAttention(Module):
         context = weights @ values
         merged = context.transpose(0, 2, 1, 3).reshape(batch, seq, self.dim)
         return self.out(Tensor(merged))
-
-
-def set_fused_attention(module: Module, enabled: bool = True) -> Module:
-    """Toggle the blocked/fused incremental softmax on every attention layer.
-
-    Walks the module tree and flips :attr:`MultiHeadAttention.fused` in
-    place; returns ``module`` for chaining. Off is the default
-    everywhere, so only callers that opt in (e.g.
-    ``CompletionClient(fused_attention=True)``) see the fused numerics.
-    """
-    if isinstance(module, MultiHeadAttention):
-        module.fused = enabled
-    for child in module._modules.values():
-        set_fused_attention(child, enabled)
-    return module

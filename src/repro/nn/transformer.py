@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Union
 
 import numpy as np
 
@@ -60,8 +60,9 @@ class TransformerBlock(Module):
         x: Tensor,
         cache: dict,
         blocked: Optional[np.ndarray] = None,
-        write_cols: Optional[object] = None,
-        kv_len: Optional[int] = None,
+        *,
+        write_cols: Union[slice, np.ndarray],
+        kv_len: int,
     ) -> Tensor:
         """Cached forward over new positions using this block's K/V cache."""
         x = x + self.attn.incremental(
@@ -104,34 +105,14 @@ class TransformerStack(Module):
             x = block(x, attention_mask)
         return self.final_norm(x)
 
-    def init_cache(
-        self,
-        batch_size: Optional[int] = None,
-        capacity: Optional[int] = None,
-        layout: str = "slab",
-    ) -> List[object]:
-        """Fresh per-block K/V caches for incremental decoding.
+    def init_cache(self, batch_size: int, capacity: int) -> List[dict]:
+        """Fresh per-block slotted K/V caches for incremental decoding.
 
-        With no arguments the caches are preallocated
-        :class:`~repro.serving.kvcache.KVCache` slabs that append in
-        place with amortized capacity doubling (``layout="legacy"``
-        returns the old empty dicts that grow by ``np.concatenate`` —
-        kept as the regression reference). With ``batch_size`` and
-        ``capacity`` they are preallocated slotted slabs
-        (B, H, capacity, D/H) for the padding-aware batched layout (see
+        Each cache holds preallocated (B, H, capacity, D/H) ``"k"`` and
+        ``"v"`` slabs for the padding-aware batched layout (see
         :meth:`MultiHeadAttention.incremental`).
         """
-        if batch_size is None:
-            if layout == "legacy":
-                return [{} for _ in self.blocks]
-            if layout != "slab":
-                raise ValueError(f"unknown cache layout {layout!r}")
-            # Imported here (not at module top) because repro.serving
-            # imports repro.nn; at call time both are fully loaded.
-            from repro.serving.kvcache import KVCache
-
-            return [KVCache() for _ in self.blocks]
-        if capacity is None or capacity <= 0 or batch_size <= 0:
+        if capacity <= 0 or batch_size <= 0:
             raise ValueError("slotted caches need positive batch_size and capacity")
         caches = []
         for block in self.blocks:
@@ -145,8 +126,9 @@ class TransformerStack(Module):
         x: Tensor,
         caches: List[dict],
         blocked: Optional[np.ndarray] = None,
-        write_cols: Optional[object] = None,
-        kv_len: Optional[int] = None,
+        *,
+        write_cols: Union[slice, np.ndarray],
+        kv_len: int,
     ) -> Tensor:
         """Cached forward over new positions through all blocks."""
         for block, cache in zip(self.blocks, caches):

@@ -1,11 +1,12 @@
 """Batched inference serving for the numpy Transformer.
 
-Vectorizes decoding across sequences: preallocated KV slabs
-(:class:`KVCache`), padding-aware batched KV caches, chunked causal
-prefill, per-sequence stop handling, a prompt-prefix K/V cache
-(:class:`PrefixCache`), retire-and-admit continuous batching, and a
-FIFO microbatching scheduler. See :class:`BatchedGenerator` for the
-engine and :class:`BatchScheduler` for the queueing front-end.
+Vectorizes decoding across sequences: padding-aware slotted KV caches,
+chunked causal prefill, per-sequence stop handling, a prompt-prefix K/V
+cache (:class:`PrefixCache`), retire-and-admit continuous batching, and
+a FIFO microbatching scheduler. See :class:`BatchedGenerator` for the
+engine — its continuous loop is the one KV-cached decode path, and
+:func:`repro.generation.generate` is a batch of one through it — and
+:class:`BatchScheduler` for the queueing front-end.
 Above the scheduler, :class:`SemanticCache` memoizes whole
 completions — exact-match on the full request key plus an opt-in
 embedding-similarity tier — so repeated prompts skip prefill and
@@ -37,7 +38,6 @@ from repro.serving.gateway import (
     Replica,
     ServiceModel,
 )
-from repro.serving.kvcache import KVCache
 from repro.serving.loadgen import LoadReport, OpenLoopLoad, run_open_loop, sweep
 from repro.serving.prefix import PrefixCache, PrefixCacheStats
 from repro.serving.scheduler import BatchScheduler, SchedulerStats
@@ -52,7 +52,6 @@ from repro.serving.speculative import (
     SpeculativeGenerator,
     distill_draft,
     draft_config,
-    speculative_generate,
 )
 
 __all__ = [
@@ -63,13 +62,11 @@ __all__ = [
     "SpeculativeGenerator",
     "distill_draft",
     "draft_config",
-    "speculative_generate",
     "Gateway",
     "GatewayRequest",
     "GatewayResult",
     "GatewayStats",
     "GeneratorStats",
-    "KVCache",
     "LoadReport",
     "OpenLoopLoad",
     "PrefixCache",

@@ -144,6 +144,7 @@ class _ChoiceState:
     config: GenerationConfig
     constraint: Optional[TokenConstraint]
     rng: SeededRNG
+    prompt_ids: Sequence[int] = ()
     generated: List[int] = field(default_factory=list)
 
 
@@ -153,11 +154,13 @@ class BatchedGenerator:
     ``prefill_chunk`` bounds the width of each prefill forward; ``None``
     primes every prompt in a single chunk. With a ``prefix_cache``,
     prompt prefixes already seen by the cache are loaded instead of
-    recomputed and every prefilled prompt is stored back. Greedy
-    decoding produces the same token sequences as per-prompt
-    :func:`repro.generation.generate` — with or without the prefix
-    cache — and sampling draws from per-sequence seeded RNGs exactly as
-    the sequential path does (choice ``j`` of a request samples with
+    recomputed and every prefilled prompt is stored back. This is the
+    one KV-cached decode loop for a plain model —
+    :func:`repro.generation.generate` is a batch of one here. Greedy
+    decoding produces the same token sequences as the full re-encode
+    oracle ``generate(..., use_cache=False)`` — with or without the
+    prefix cache — and sampling draws from per-sequence seeded RNGs
+    exactly as that path does (choice ``j`` of a request samples with
     ``config.seed + j``).
 
     Shared state: ``stats`` (and the prefix cache, when attached) are
@@ -183,20 +186,15 @@ class BatchedGenerator:
         self.stats = GeneratorStats()
 
     def generate(self, requests: Sequence[BatchRequest]) -> List[BatchResult]:
-        """Serve ``requests`` in one batch; order follows the input."""
-        results: List[Optional[BatchResult]] = [None] * len(requests)
-        batched: List[int] = []
-        for i, request in enumerate(requests):
-            if self._fits(request):
-                batched.append(i)
-            else:
-                results[i] = self._sequential_fallback(request)
-        if batched:
-            self.model.eval()
-            with no_grad():
-                for i, result in zip(batched, self._run([requests[i] for i in batched])):
-                    results[i] = result
-        return [r for r in results if r is not None]
+        """Serve ``requests`` in one batch; order follows the input.
+
+        The whole batch is admitted at once: continuous batching with
+        enough slots for every choice never refills, so this is the
+        barriered microbatch.
+        """
+        return self.generate_continuous(
+            requests, max_active=max(1, sum(r.n for r in requests))
+        )
 
     def generate_continuous(
         self,
@@ -211,7 +209,7 @@ class BatchedGenerator:
         finishes, its slot is refilled from the queue *immediately*
         (prefilling the newcomer mid-decode) instead of waiting for the
         whole microbatch to drain. Output order follows the input and
-        every sequence is token-identical to :meth:`generate`.
+        no token depends on ``max_active``.
 
         ``on_step(active, queued)`` — if given — is called once per
         decode-loop iteration with the request indexes currently
@@ -262,61 +260,11 @@ class BatchedGenerator:
                 request.prompt_ids,
                 _choice_config(request.config, choice),
                 request.constraint,
+                use_cache=False,
             )
             for choice in range(request.n)
         ]
         return BatchResult(sequences=sequences, batched=False)
-
-    # -- the batched path --------------------------------------------------
-    def _run(self, requests: Sequence[BatchRequest]) -> List[BatchResult]:
-        prompt_lengths = np.array([len(r.prompt_ids) for r in requests])
-        capacity = int(
-            max(
-                len(r.prompt_ids) + r.config.max_new_tokens for r in requests
-            )
-        )
-        caches = self.model.init_cache(batch_size=len(requests), capacity=capacity)
-        self._seed_shared_prefix(requests)
-        next_logits = self._prefill(requests, prompt_lengths, caches)
-
-        # Fork each request's prefilled cache across its n choices.
-        repeats = np.array([r.n for r in requests])
-        for cache in caches:
-            cache["k"] = np.repeat(cache["k"], repeats, axis=0)
-            cache["v"] = np.repeat(cache["v"], repeats, axis=0)
-        lengths = np.repeat(prompt_lengths, repeats)
-        next_logits = np.repeat(next_logits, repeats, axis=0)
-        states = [
-            _ChoiceState(
-                request_index=i,
-                choice_index=j,
-                config=_choice_config(request.config, j),
-                constraint=request.constraint,
-                rng=SeededRNG(request.config.seed + j),
-            )
-            for i, request in enumerate(requests)
-            for j in range(request.n)
-        ]
-
-        results = [BatchResult(sequences=[]) for _ in requests]
-        while states:
-            self.stats.peak_active = max(self.stats.peak_active, len(states))
-            keep = self._advance(states, next_logits, results)
-            if not keep.all():
-                states = [s for s, k in zip(states, keep) if k]
-                lengths = lengths[keep]
-                next_logits = next_logits[keep]
-                for cache in caches:
-                    cache["k"] = cache["k"][keep]
-                    cache["v"] = cache["v"][keep]
-            if not states:
-                break
-            next_logits = self._decode_step(states, lengths, caches)
-            lengths += 1
-        for result in results:
-            result.sequences.sort(key=lambda pair: pair[0])
-            result.sequences[:] = [seq for _, seq in result.sequences]
-        return results
 
     # -- continuous batching ----------------------------------------------
     def _run_continuous(
@@ -345,13 +293,9 @@ class BatchedGenerator:
                         [s.request_index not in cancelled for s in states],
                         dtype=bool,
                     )
-                    if not keep.all():
-                        states = [s for s, k in zip(states, keep) if k]
-                        lengths = lengths[keep]
-                        next_logits = next_logits[keep]
-                        for cache in caches:
-                            cache["k"] = cache["k"][keep]
-                            cache["v"] = cache["v"][keep]
+                    states, (lengths, next_logits) = _compact(
+                        keep, states, (lengths, next_logits), caches
+                    )
                 if not (queue or states):
                     break
             batch = self._take_admissions(queue, states, max_active)
@@ -369,13 +313,9 @@ class BatchedGenerator:
                 continue
             self.stats.peak_active = max(self.stats.peak_active, len(states))
             keep = self._advance(states, next_logits, results)
-            if not keep.all():
-                states = [s for s, k in zip(states, keep) if k]
-                lengths = lengths[keep]
-                next_logits = next_logits[keep]
-                for cache in caches:
-                    cache["k"] = cache["k"][keep]
-                    cache["v"] = cache["v"][keep]
+            states, (lengths, next_logits) = _compact(
+                keep, states, (lengths, next_logits), caches
+            )
             if not states:
                 continue  # freed slots may admit queued work next turn
             next_logits = self._decode_step(states, lengths, caches)
@@ -463,26 +403,11 @@ class BatchedGenerator:
         fresh = self.model.init_cache(batch_size=len(requests), capacity=capacity)
         self._seed_shared_prefix(requests)
         logits = self._prefill(requests, prompt_lengths, fresh)
-
-        repeats = np.array([r.n for r in requests])
-        for cache in fresh:
-            cache["k"] = np.repeat(cache["k"], repeats, axis=0)
-            cache["v"] = np.repeat(cache["v"], repeats, axis=0)
-        new_lengths = np.repeat(prompt_lengths, repeats)
-        new_logits = np.repeat(logits, repeats, axis=0)
-        for (index, request) in batch:
+        for index, _ in batch:
             results[index] = BatchResult(sequences=[])
-        new_states = [
-            _ChoiceState(
-                request_index=index,
-                choice_index=j,
-                config=_choice_config(request.config, j),
-                constraint=request.constraint,
-                rng=SeededRNG(request.config.seed + j),
-            )
-            for index, request in batch
-            for j in range(request.n)
-        ]
+        new_states, (new_lengths, new_logits) = _fork(
+            batch, fresh, (prompt_lengths, logits)
+        )
 
         if caches is None:
             return fresh, new_states, new_lengths, new_logits
@@ -674,3 +599,51 @@ def _choice_config(config: GenerationConfig, choice: int) -> GenerationConfig:
     if choice == 0:
         return config
     return dataclasses.replace(config, seed=config.seed + choice)
+
+
+def _fork(
+    batch: Sequence[Tuple[int, BatchRequest]],
+    caches: list,
+    rows: Tuple[np.ndarray, ...],
+) -> Tuple[List[_ChoiceState], Tuple[np.ndarray, ...]]:
+    """Fork each prefilled request row across its ``n`` choices.
+
+    ``batch`` pairs each request with its result index; ``rows`` are
+    per-request arrays (lengths, logits) repeated alongside the cache
+    rows. Choice ``j`` gets its own state seeded with ``seed + j``.
+    """
+    repeats = np.array([request.n for _, request in batch])
+    for cache in caches:
+        cache["k"] = np.repeat(cache["k"], repeats, axis=0)
+        cache["v"] = np.repeat(cache["v"], repeats, axis=0)
+    states = [
+        _ChoiceState(
+            request_index=index,
+            choice_index=j,
+            config=_choice_config(request.config, j),
+            constraint=request.constraint,
+            rng=SeededRNG(request.config.seed + j),
+            prompt_ids=request.prompt_ids,
+        )
+        for index, request in batch
+        for j in range(request.n)
+    ]
+    return states, tuple(np.repeat(row, repeats, axis=0) for row in rows)
+
+
+def _compact(
+    keep: np.ndarray,
+    states: List[_ChoiceState],
+    rows: Tuple[np.ndarray, ...],
+    caches: list,
+) -> Tuple[List[_ChoiceState], Tuple[np.ndarray, ...]]:
+    """Drop the rows ``keep`` masks out from states, per-row arrays and caches."""
+    if keep.all():
+        return states, rows
+    for cache in caches:
+        cache["k"] = cache["k"][keep]
+        cache["v"] = cache["v"][keep]
+    return (
+        [s for s, k in zip(states, keep) if k],
+        tuple(row[keep] for row in rows),
+    )

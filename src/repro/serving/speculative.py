@@ -24,15 +24,11 @@ the tokens before it, the output is token-identical to
 how many tokens each target forward advances. Acceptance rate therefore
 buys throughput, never correctness.
 
-Cache discipline: draft and target each keep their own KV cache. The
-single-sequence path (:func:`speculative_generate`) uses
-:class:`~repro.serving.kvcache.KVCache` slabs — accepted runs advance in
-place, rejected tails are rolled back with
-:meth:`~repro.serving.kvcache.KVCache.truncate`. The batched path
-(:class:`SpeculativeGenerator`) uses the slotted per-row layout of the
-serving engine, where truncation is a per-row *length* rewind: stale
-columns beyond a row's verified length are never attended (the blocked
-mask hides them) and the next verify chunk overwrites them in place.
+Cache discipline: draft and target each keep their own KV cache in the
+slotted per-row layout of the serving engine, where rejecting a tail is
+a per-row *length* rewind: stale columns beyond a row's verified length
+are never attended (the blocked mask hides them) and the next verify
+chunk overwrites them in place. A single sequence is a batch of one.
 
 Sampled requests fall back to the plain engine (speculative identity
 here is a greedy-argmax argument; matching a sampler's RNG stream
@@ -49,24 +45,18 @@ import numpy as np
 
 from repro.autograd import Tensor, cross_entropy, no_grad
 from repro.errors import GenerationError
-from repro.generation.decoding import (
-    GenerationConfig,
-    TokenConstraint,
-    _next_token,
-    generate,
-)
+from repro.generation.decoding import GenerationConfig, _next_token
 from repro.models.config import ModelConfig
 from repro.models.gpt import GPTModel
-from repro.nn.attention import chunk_causal_mask
 from repro.serving.engine import (
     BatchedGenerator,
     BatchRequest,
     BatchResult,
     _ChoiceState,
-    _choice_config,
+    _compact,
+    _fork,
 )
 from repro.serving.prefix import PrefixCache
-from repro.utils.rng import SeededRNG
 
 #: default number of tokens the draft proposes per verify forward
 DEFAULT_DRAFT_K = 4
@@ -192,42 +182,21 @@ class SpeculativeGenerator:
         self.draft_engine._seed_shared_prefix(requests)
         self.draft_engine._prefill(requests, prompt_lengths, dcaches)
 
-        # Fork each request's prefilled caches across its n choices.
-        repeats = np.array([r.n for r in requests])
-        for cache in tcaches + dcaches:
-            cache["k"] = np.repeat(cache["k"], repeats, axis=0)
-            cache["v"] = np.repeat(cache["v"], repeats, axis=0)
-        next_logits = np.repeat(next_logits, repeats, axis=0)
-        states = [
-            _ChoiceState(
-                request_index=i,
-                choice_index=j,
-                config=_choice_config(request.config, j),
-                constraint=request.constraint,
-                rng=SeededRNG(request.config.seed + j),
-            )
-            for i, request in enumerate(requests)
-            for j in range(request.n)
-        ]
         # committed[r] tokens per row = prompt + generated; invariant
         # between rounds: all but the LAST committed token sit verified
         # in the target cache (t_lens), the draft cache may trail by one
         # more (d_lens).
-        prompts = [
-            list(requests[i].prompt_ids)
-            for i, request in enumerate(requests)
-            for _ in range(request.n)
-        ]
-        t_lens = np.repeat(prompt_lengths, repeats)
-        d_lens = np.repeat(prompt_lengths, repeats)
+        caches = tcaches + dcaches
+        states, (next_logits, t_lens) = _fork(
+            list(enumerate(requests)), caches, (next_logits, prompt_lengths)
+        )
+        d_lens = t_lens.copy()
 
         results = [BatchResult(sequences=[]) for _ in requests]
         # Bootstrap: commit each row's first token from the prefill
         # logits (the plain engine's _advance handles stop/max/retire).
         keep = self.engine._advance(states, next_logits, results)
-        states, prompts, (t_lens, d_lens) = self._compact(
-            states, prompts, keep, (t_lens, d_lens), tcaches + dcaches
-        )
+        states, (t_lens, d_lens) = _compact(keep, states, (t_lens, d_lens), caches)
 
         while states:
             self.stats.peak_active = max(self.stats.peak_active, len(states))
@@ -247,12 +216,10 @@ class SpeculativeGenerator:
             )
             k_eff = max(k_eff, 0)
             proposals, valid_counts = self._propose(
-                states, prompts, committed_len, d_lens, dcaches, k_eff
+                states, committed_len, d_lens, dcaches, k_eff
             )
             self.stats.draft_tokens += int(valid_counts.sum())
-            logits = self._verify(
-                states, prompts, committed_len, tcaches, k_eff, proposals
-            )
+            logits = self._verify(states, committed_len, tcaches, k_eff, proposals)
             keep, accepted = self._accept(
                 states, logits, proposals, valid_counts, k_eff, results
             )
@@ -262,8 +229,8 @@ class SpeculativeGenerator:
                 # committed, plus the accepted proposals it actually
                 # forwarded (never the last one — its forward is skipped).
                 d_lens = committed_len + np.minimum(accepted, k_eff - 1)
-            states, prompts, (t_lens, d_lens) = self._compact(
-                states, prompts, keep, (t_lens, d_lens), tcaches + dcaches
+            states, (t_lens, d_lens) = _compact(
+                keep, states, (t_lens, d_lens), caches
             )
 
         for result in results:
@@ -271,29 +238,9 @@ class SpeculativeGenerator:
             result.sequences[:] = [seq for _, seq in result.sequences]
         return results
 
-    @staticmethod
-    def _compact(
-        states: List[_ChoiceState],
-        prompts: List[List[int]],
-        keep: np.ndarray,
-        lengths: Tuple[np.ndarray, ...],
-        caches: list,
-    ) -> Tuple[List[_ChoiceState], List[List[int]], Tuple[np.ndarray, ...]]:
-        """Drop retired rows from states, prompts, lengths and caches."""
-        if keep.all():
-            return states, prompts, lengths
-        states = [s for s, k in zip(states, keep) if k]
-        prompts = [p for p, k in zip(prompts, keep) if k]
-        lengths = tuple(length[keep] for length in lengths)
-        for cache in caches:
-            cache["k"] = cache["k"][keep]
-            cache["v"] = cache["v"][keep]
-        return states, prompts, lengths
-
     def _propose(
         self,
         states: List[_ChoiceState],
-        prompts: List[List[int]],
         committed_len: np.ndarray,
         d_lens: np.ndarray,
         dcaches: list,
@@ -317,9 +264,7 @@ class SpeculativeGenerator:
                 np.zeros((rows, 0), dtype=np.int64),
                 np.zeros(rows, dtype=np.int64),
             )
-        committed = [
-            prompts[r] + states[r].generated for r in range(rows)
-        ]
+        committed = [list(s.prompt_ids) + s.generated for s in states]
         width = int((committed_len - d_lens).max())
         ids = np.zeros((rows, width), dtype=np.int64)
         for r in range(rows):
@@ -390,7 +335,6 @@ class SpeculativeGenerator:
     def _verify(
         self,
         states: List[_ChoiceState],
-        prompts: List[List[int]],
         committed_len: np.ndarray,
         tcaches: list,
         k_eff: int,
@@ -400,13 +344,10 @@ class SpeculativeGenerator:
         rows = len(states)
         width = k_eff + 1
         ids = np.zeros((rows, width), dtype=np.int64)
-        for r in range(rows):
-            last = (
-                states[r].generated[-1]
-                if states[r].generated
-                else prompts[r][-1]
+        for r, state in enumerate(states):
+            ids[r, 0] = (
+                state.generated[-1] if state.generated else state.prompt_ids[-1]
             )
-            ids[r, 0] = last
             ids[r, 1:] = proposals[r]
         positions = (committed_len - 1)[:, None] + np.arange(width)
         kv_len = int(committed_len.max()) + k_eff
@@ -486,143 +427,6 @@ class SpeculativeGenerator:
                     (state.choice_index, state.generated)
                 )
         return keep, accepted
-
-
-def speculative_generate(
-    model: GPTModel,
-    draft: GPTModel,
-    prompt_ids: Sequence[int],
-    config: Optional[GenerationConfig] = None,
-    constraint: Optional[TokenConstraint] = None,
-    k: int = DEFAULT_DRAFT_K,
-) -> List[int]:
-    """Single-sequence speculative decode over slab KV caches.
-
-    Token-identical to :func:`repro.generation.generate` for greedy
-    configs; sampled configs and prompts that do not fit either context
-    window delegate to it outright. Both models keep
-    :class:`~repro.serving.kvcache.KVCache` slabs: accepted runs advance
-    them in place and rejected tails are rolled back with
-    :meth:`~repro.serving.kvcache.KVCache.truncate` — the slab-layout
-    statement of "rejection is free".
-    """
-    if k <= 0:
-        raise GenerationError("speculative k must be positive")
-    config = config or GenerationConfig()
-    if not prompt_ids:
-        raise GenerationError("prompt must contain at least one token")
-    max_len = min(model.config.max_seq_len, draft.config.max_seq_len)
-    fits = len(prompt_ids) + config.max_new_tokens <= max_len
-    if config.strategy != "greedy" or not fits:
-        return generate(model, prompt_ids, config, constraint)
-
-    rng = SeededRNG(config.seed)
-    model.eval()
-    draft.eval()
-    generated: List[int] = []
-    with no_grad():
-        tcaches = model.init_cache()
-        dcaches = draft.init_cache()
-        n = len(prompt_ids)
-        prompt = np.array([prompt_ids], dtype=np.int64)
-        positions = np.arange(n)[None, :]
-        blocked = chunk_causal_mask(0, n)[None, None]
-        logits = model.forward_chunk(prompt, positions, tcaches, blocked=blocked)
-        draft.forward_chunk(prompt, positions, dcaches, blocked=blocked)
-        token = _next_token(
-            logits.data[0, -1], generated, config, constraint, rng
-        )
-        if token is None or token in config.stop_ids:
-            return generated
-        generated.append(token)
-
-        while len(generated) < config.max_new_tokens:
-            committed = list(prompt_ids) + generated
-            remaining = config.max_new_tokens - len(generated)
-            k_eff = min(k, remaining - 1, max_len - len(committed))
-            proposals = _draft_proposals(
-                draft, dcaches, committed, generated, config, constraint,
-                rng, k_eff,
-            )
-            chunk = [committed[-1]] + proposals
-            start = tcaches[0].length
-            stop = start + len(chunk)
-            logits = model.forward_chunk(
-                np.array([chunk], dtype=np.int64),
-                np.arange(start, stop)[None, :],
-                tcaches,
-                blocked=chunk_causal_mask(start, stop)[None, None],
-            )
-            scores = logits.data[0]
-            accepted = 0
-            done = False
-            for j in range(len(chunk)):
-                token = _next_token(
-                    scores[j], generated, config, constraint, rng
-                )
-                if token is None or token in config.stop_ids:
-                    done = True
-                    break
-                generated.append(token)
-                if len(generated) >= config.max_new_tokens:
-                    done = True
-                matched = j < len(proposals) and token == proposals[j]
-                if matched:
-                    accepted += 1
-                if done or not matched:
-                    break
-            if done:
-                break
-            # Roll both slabs back to the verified prefix: the target
-            # wrote len(chunk) optimistic columns, the draft wrote the
-            # catch-up plus all but the last proposal.
-            verified = len(prompt_ids) + len(generated) - 1
-            for cache in tcaches:
-                cache.truncate(verified)
-            for cache in dcaches:
-                cache.truncate(min(cache.length, verified))
-    return generated
-
-
-def _draft_proposals(
-    draft: GPTModel,
-    dcaches: list,
-    committed: List[int],
-    generated: List[int],
-    config: GenerationConfig,
-    constraint: Optional[TokenConstraint],
-    rng: SeededRNG,
-    k_eff: int,
-) -> List[int]:
-    """Catch the draft cache up to ``committed`` and propose ``k_eff`` ids."""
-    if k_eff <= 0:
-        return []
-    start = dcaches[0].length
-    pending = committed[start:]
-    logits = draft.forward_chunk(
-        np.array([pending], dtype=np.int64),
-        np.arange(start, len(committed))[None, :],
-        dcaches,
-        blocked=chunk_causal_mask(start, len(committed))[None, None],
-    )
-    d_next = logits.data[0, -1]
-    proposals: List[int] = []
-    for j in range(k_eff):
-        pick = _next_token(
-            d_next, generated + proposals, config, constraint, rng
-        )
-        if pick is None:
-            break
-        proposals.append(int(pick))
-        if pick in config.stop_ids or j == k_eff - 1:
-            break
-        logits = draft.forward_chunk(
-            np.array([[pick]], dtype=np.int64),
-            np.array([[len(committed) + j]], dtype=np.int64),
-            dcaches,
-        )
-        d_next = logits.data[0, -1]
-    return proposals
 
 
 def draft_config(config: ModelConfig, num_layers: int = 1) -> ModelConfig:

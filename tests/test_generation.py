@@ -219,37 +219,40 @@ class TestKVCache:
         assert len(out) <= 12
 
     def test_incremental_logits_match_full_forward(self, model):
-        import numpy as np
-
         from repro.autograd import no_grad
 
         ids = [1, 2, 3, 4, 5]
         with no_grad():
             full = model(np.array([ids]))
-        caches = model.init_cache()
+        caches = model.init_cache(batch_size=1, capacity=len(ids))
         with no_grad():
             for position, token in enumerate(ids):
-                step = model.forward_incremental(
-                    np.array([[token]]), position, caches
+                step = model.forward_chunk(
+                    np.array([[token]]), np.array([[position]]), caches,
+                    write_cols=np.array([position]), kv_len=position + 1,
                 )
         np.testing.assert_allclose(step.data[0, 0], full.data[0, -1], atol=1e-9)
 
     def test_incremental_bad_shape_raises(self, model):
-        import numpy as np
-
         from repro.errors import ModelError
 
-        with pytest.raises(ModelError):
-            model.forward_incremental(np.array([[1, 2]]), 0, model.init_cache())
+        caches = model.init_cache(batch_size=1, capacity=4)
+        for ids in (np.array([1, 2]), np.zeros((1, 0), dtype=np.int64)):
+            with pytest.raises(ModelError):
+                model.forward_chunk(
+                    ids, np.arange(ids.size), caches,
+                    write_cols=slice(0, ids.size), kv_len=ids.size,
+                )
 
     def test_incremental_position_overflow_raises(self, model):
-        import numpy as np
-
         from repro.errors import ModelError
 
+        last = model.config.max_seq_len
         with pytest.raises(ModelError):
-            model.forward_incremental(
-                np.array([[1]]), model.config.max_seq_len, model.init_cache()
+            model.forward_chunk(
+                np.array([[1]]), np.array([[last]]),
+                model.init_cache(batch_size=1, capacity=last + 1),
+                write_cols=np.array([last]), kv_len=last + 1,
             )
 
 
@@ -367,16 +370,18 @@ class TestDecodingEdgeCases:
         from repro.autograd import no_grad
 
         attn = model.stack.blocks[0].attn
-        caches = model.init_cache()
+        caches = model.init_cache(batch_size=1, capacity=2)
         with no_grad():
-            model.forward_incremental(np.array([[1]]), 0, caches)
-            first = attn.last_attention
-            assert first is not None and first.shape[-1] == 1
-            model.forward_incremental(np.array([[2]]), 1, caches)
-            second = attn.last_attention
-        # The cached step must refresh the recorded weights, never leave
-        # stale introspection from an earlier call.
-        assert second is not None and second.shape[-1] == 2
+            for position, token in enumerate([1, 2]):
+                model.forward_chunk(
+                    np.array([[token]]), np.array([[position]]), caches,
+                    write_cols=np.array([position]), kv_len=position + 1,
+                )
+                # The cached step must refresh the recorded weights,
+                # never leave stale introspection from an earlier call.
+                recorded = attn.last_attention
+                assert recorded is not None
+                assert recorded.shape[-1] == position + 1
 
     def test_generate_defaults_to_cache(self, model):
         # The cached and recompute paths must agree on default settings.

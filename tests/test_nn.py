@@ -218,87 +218,6 @@ class TestTransformer:
             assert param.grad is not None, "every parameter should receive gradient"
 
 
-class TestFusedAttention:
-    """The blocked online-softmax kernel vs the naive materialized path."""
-
-    def _naive(self, q, keys, values, blocked=None, scale=1.0):
-        scores = (q @ keys.transpose(0, 1, 3, 2)) * scale
-        if blocked is not None:
-            from repro.nn.attention import NEG_INF
-
-            scores = np.where(blocked, NEG_INF, scores)
-        shifted = scores - scores.max(axis=-1, keepdims=True)
-        weights = np.exp(shifted)
-        weights = weights / weights.sum(axis=-1, keepdims=True)
-        return weights @ values
-
-    def test_matches_naive_unmasked(self):
-        from repro.nn import fused_attention
-
-        gen = np.random.default_rng(0)
-        q = gen.normal(size=(2, 3, 5, 4))
-        keys = gen.normal(size=(2, 3, 11, 4))
-        values = gen.normal(size=(2, 3, 11, 4))
-        out = fused_attention(q, keys, values, scale=0.5, block_size=4)
-        np.testing.assert_allclose(
-            out, self._naive(q, keys, values, scale=0.5), atol=1e-12
-        )
-
-    def test_matches_naive_with_causal_mask_across_blocks(self):
-        from repro.nn import fused_attention
-
-        gen = np.random.default_rng(1)
-        q = gen.normal(size=(1, 2, 9, 4))
-        keys = gen.normal(size=(1, 2, 9, 4))
-        values = gen.normal(size=(1, 2, 9, 4))
-        blocked = causal_mask(9)[None, None]
-        # block_size=3 forces the online recurrence across 3 key blocks,
-        # including blocks that are fully masked for early queries.
-        out = fused_attention(q, keys, values, blocked=blocked, block_size=3)
-        np.testing.assert_allclose(
-            out, self._naive(q, keys, values, blocked=blocked), atol=1e-12
-        )
-
-    def test_single_block_degenerates_to_naive_order(self):
-        from repro.nn import fused_attention
-
-        gen = np.random.default_rng(2)
-        q = gen.normal(size=(1, 1, 2, 3))
-        kv = gen.normal(size=(1, 1, 6, 3))
-        out = fused_attention(q, kv, kv, block_size=64)
-        np.testing.assert_allclose(out, self._naive(q, kv, kv), atol=1e-12)
-
-    def test_fused_incremental_matches_default_path(self, rng):
-        from repro.nn import set_fused_attention
-        from repro.serving import KVCache
-
-        attn = MultiHeadAttention(8, 2, rng, causal=True)
-        x = Tensor(np.random.default_rng(3).normal(size=(2, 5, 8)))
-        blocked = causal_mask(5)[None, None]
-        base = attn.incremental(x, KVCache(), blocked=blocked).data
-        set_fused_attention(attn)
-        fused = attn.incremental(x, KVCache(), blocked=blocked).data
-        np.testing.assert_allclose(fused, base, atol=1e-10)
-        # The fused path never materializes the weight matrix.
-        assert attn.last_attention is None
-        set_fused_attention(attn, enabled=False)
-        assert attn.fused is False
-
-    def test_fused_greedy_decode_identical(self):
-        from repro.generation import GenerationConfig, generate
-        from repro.models import GPTModel, ModelConfig
-        from repro.nn import set_fused_attention
-
-        model = GPTModel(ModelConfig.tiny(vocab_size=40), seed=5)
-        prompt = [3, 17, 9, 24]
-        config = GenerationConfig(max_new_tokens=10)
-        expected = generate(model, prompt, config)
-        import copy
-
-        fused = set_fused_attention(copy.deepcopy(model))
-        assert generate(fused, prompt, config) == expected
-
-
 class TestQuantization:
     def test_quantize_weight_roundtrip_error_bound(self, rng):
         from repro.nn import quantize_weight

@@ -27,7 +27,6 @@ from repro.serving import (
     BatchedGenerator,
     BatchRequest,
     BatchScheduler,
-    KVCache,
     PrefixCache,
     complete_many,
 )
@@ -70,7 +69,7 @@ class TestBatchedGenerator:
         results = BatchedGenerator(model).generate(
             [BatchRequest(p, config) for p in ragged_prompts]
         )
-        expected = [generate(model, p, config) for p in ragged_prompts]
+        expected = [generate(model, p, config, use_cache=False) for p in ragged_prompts]
         assert [r.sequences[0] for r in results] == expected
         assert all(r.batched for r in results)
 
@@ -84,7 +83,11 @@ class TestBatchedGenerator:
         chunked = BatchedGenerator(model, prefill_chunk=4).generate(
             [BatchRequest(p, config) for p in ragged_prompts]
         )
-        assert [r.sequences for r in whole] == [r.sequences for r in chunked]
+        expected = [
+            [generate(model, p, config, use_cache=False)] for p in ragged_prompts
+        ]
+        assert [r.sequences for r in whole] == expected
+        assert [r.sequences for r in chunked] == expected
 
     def test_sampling_matches_sequential_seeds(self, model, ragged_prompts):
         config = GenerationConfig(
@@ -93,16 +96,19 @@ class TestBatchedGenerator:
         results = BatchedGenerator(model).generate(
             [BatchRequest(p, config) for p in ragged_prompts]
         )
-        expected = [generate(model, p, config) for p in ragged_prompts]
+        expected = [generate(model, p, config, use_cache=False) for p in ragged_prompts]
         assert [r.sequences[0] for r in results] == expected
 
     def test_per_sequence_stops(self, model, ragged_prompts):
-        base = generate(model, ragged_prompts[0], GenerationConfig(max_new_tokens=10))
+        base = generate(
+            model, ragged_prompts[0], GenerationConfig(max_new_tokens=10),
+            use_cache=False,
+        )
         config = GenerationConfig(max_new_tokens=10, stop_ids=(base[2],))
         results = BatchedGenerator(model).generate(
             [BatchRequest(p, config) for p in ragged_prompts]
         )
-        expected = [generate(model, p, config) for p in ragged_prompts]
+        expected = [generate(model, p, config, use_cache=False) for p in ragged_prompts]
         assert [r.sequences[0] for r in results] == expected
 
     def test_n_choices_share_prefill_and_match_seed_offsets(self, model):
@@ -113,7 +119,10 @@ class TestBatchedGenerator:
         generator = BatchedGenerator(model)
         (result,) = generator.generate([BatchRequest(prompt, config, n=3)])
         expected = [
-            generate(model, prompt, dataclasses.replace(config, seed=config.seed + j))
+            generate(
+                model, prompt, dataclasses.replace(config, seed=config.seed + j),
+                use_cache=False,
+            )
             for j in range(3)
         ]
         assert result.sequences == expected
@@ -128,7 +137,10 @@ class TestBatchedGenerator:
             [BatchRequest(p, config, constraint=constraint) for p in ragged_prompts]
         )
         expected = [
-            generate(model, p, config, OddOnly(model.config.vocab_size))
+            generate(
+                model, p, config, OddOnly(model.config.vocab_size),
+                use_cache=False,
+            )
             for p in ragged_prompts
         ]
         assert [r.sequences[0] for r in results] == expected
@@ -145,9 +157,11 @@ class TestBatchedGenerator:
             BatchRequest(ragged_prompts[2], greedy),
         ]
         results = BatchedGenerator(model).generate(requests)
-        assert results[0].sequences[0] == generate(model, ragged_prompts[0], greedy)
-        assert results[1].sequences[0] == generate(model, ragged_prompts[1], sampled)
-        assert results[2].sequences[0] == generate(model, ragged_prompts[2], greedy)
+        expected = [
+            generate(model, ragged_prompts[i], config, use_cache=False)
+            for i, config in enumerate([greedy, sampled, greedy])
+        ]
+        assert [r.sequences[0] for r in results] == expected
 
     def test_oversized_request_falls_back_sequentially(self, model):
         config = GenerationConfig(max_new_tokens=model.config.max_seq_len)
@@ -155,7 +169,9 @@ class TestBatchedGenerator:
         (result,) = generator.generate([BatchRequest([1, 2, 3], config)])
         assert not result.batched
         assert generator.stats.sequential_fallbacks == 1
-        assert result.sequences[0] == generate(model, [1, 2, 3], config)
+        assert result.sequences[0] == generate(
+            model, [1, 2, 3], config, use_cache=False
+        )
 
     def test_empty_prompt_rejected(self):
         with pytest.raises(GenerationError):
@@ -174,7 +190,7 @@ class TestBatchScheduler:
             scheduler.submit(BatchRequest(p, config)) for p in ragged_prompts
         ]
         results = scheduler.run()
-        expected = [generate(model, p, config) for p in ragged_prompts]
+        expected = [generate(model, p, config, use_cache=False) for p in ragged_prompts]
         assert [results[t].sequences[0] for t in tickets] == expected
 
     def test_microbatch_packing_stats(self, model, ragged_prompts):
@@ -236,6 +252,15 @@ def word_tokenizer_module(word_tokenizer):
 PROMPTS = ["the cat sat", "a dog", "the bird flew over", "cats and dogs"]
 
 
+def _billed(stats):
+    """``EngineStats`` minus the counters that describe *how* the work
+    was served: prefix reuse and queue wait differ between one batch
+    and one call per prompt, billing must not."""
+    return dataclasses.replace(
+        stats, prefix_hits=0, prefix_reused_tokens=0, queue_wait_seconds=0.0
+    )
+
+
 class TestCompleteBatch:
     def test_greedy_matches_per_prompt_complete(self, hub):
         client = CompletionClient(hub)
@@ -258,12 +283,9 @@ class TestCompleteBatch:
         reference = CompletionClient(hub)
         for p in PROMPTS:
             reference.complete("tiny-gpt", p, max_tokens=6)
-        # Queue wait is inherently batch-only (per-prompt calls never
-        # queue), so parity is asserted with it zeroed out.
-        batched = dataclasses.replace(
-            client.engine_stats("tiny-gpt"), queue_wait_seconds=0.0
+        assert _billed(client.engine_stats("tiny-gpt")) == _billed(
+            reference.engine_stats("tiny-gpt")
         )
-        assert batched == reference.engine_stats("tiny-gpt")
         assert client.engine_stats("tiny-gpt").queue_wait_seconds >= 0.0
 
     def test_n_choices_match_per_prompt_semantics(self, hub):
@@ -300,10 +322,9 @@ class TestCompleteBatch:
         reference = CompletionClient(hub)
         for p in PROMPTS:
             reference.complete("tiny-gpt", p, max_tokens=8, stop=["the"])
-        batched = dataclasses.replace(
-            client.engine_stats("tiny-gpt"), queue_wait_seconds=0.0
+        assert _billed(client.engine_stats("tiny-gpt")) == _billed(
+            reference.engine_stats("tiny-gpt")
         )
-        assert batched == reference.engine_stats("tiny-gpt")
 
     def test_stop_billing_parity_with_stop_ids_and_length_cap(self, hub):
         """Mixed finish reasons (stop vs length) keep EngineStats parity
@@ -313,10 +334,9 @@ class TestCompleteBatch:
         reference = CompletionClient(hub)
         for p in PROMPTS:
             reference.complete("tiny-gpt", p, max_tokens=2, stop=["."])
-        batched = dataclasses.replace(
-            client.engine_stats("tiny-gpt"), queue_wait_seconds=0.0
+        assert _billed(client.engine_stats("tiny-gpt")) == _billed(
+            reference.engine_stats("tiny-gpt")
         )
-        assert batched == reference.engine_stats("tiny-gpt")
 
     def test_empty_prompt_list(self, hub):
         assert CompletionClient(hub).complete_batch("tiny-gpt", []) == []
@@ -328,6 +348,28 @@ class TestCompleteBatch:
             CompletionClient(hub).complete_batch(
                 "tiny-gpt", PROMPTS, constraints=[None]
             )
+
+
+class TestCompleteIsBatchOfOne:
+    def test_complete_reuses_prefix_cache_and_bills_like_batch(self, hub):
+        """``complete`` serves through the engine's prefix cache, so
+        calls that share a prompt header reuse its K/V; billing matches
+        the same prompts sent as one ``complete_batch``."""
+        from repro.serving import engine_serving_stats
+
+        prompts = [f"the bird flew over {tail}" for tail in PROMPTS[:3]]
+        client = CompletionClient(hub)
+        for prompt in prompts:
+            client.complete("tiny-gpt", prompt, max_tokens=5)
+        stats = engine_serving_stats(client, "tiny-gpt")
+        assert stats["prefix_hits"] == len(prompts) - 1
+        assert stats["prefix_reused_tokens"] > 0
+
+        batched = CompletionClient(hub)
+        batched.complete_batch("tiny-gpt", prompts, max_tokens=5)
+        reference = engine_serving_stats(batched, "tiny-gpt")
+        for name in ("requests", "prompt_tokens", "completion_tokens"):
+            assert stats[name] == reference[name], name
 
 
 class TestCompleteMany:
@@ -656,59 +698,6 @@ class TestPerPromptLoopLint:
         ]
         assert findings == []
 
-class TestKVCacheSlab:
-    def test_append_returns_live_views(self):
-        cache = KVCache()
-        k = np.ones((2, 3, 4, 5))
-        keys, values = cache.append(k, k * 2)
-        assert keys.shape == (2, 3, 4, 5)
-        assert len(cache) == 4
-        keys, values = cache.append(k[:, :, :1], k[:, :, :1])
-        assert keys.shape == (2, 3, 5, 5)
-        np.testing.assert_array_equal(keys[:, :, :4], np.ones((2, 3, 4, 5)))
-
-    def test_capacity_doubles_amortized(self):
-        cache = KVCache()
-        step = np.zeros((1, 2, 1, 4))
-        cache.append(step, step)
-        first_capacity = cache.capacity
-        for _ in range(first_capacity + 1):
-            cache.append(step, step)
-        assert cache.capacity == 2 * first_capacity
-        assert len(cache) == first_capacity + 2
-
-    def test_batch_size_change_rejected(self):
-        cache = KVCache()
-        cache.append(np.zeros((2, 2, 1, 4)), np.zeros((2, 2, 1, 4)))
-        with pytest.raises(ValueError):
-            cache.append(np.zeros((3, 2, 1, 4)), np.zeros((3, 2, 1, 4)))
-
-    def test_slab_decode_matches_legacy_concatenate(self, model):
-        """Regression: the in-place slab is numerically identical to the
-        old concatenate-per-token growing cache."""
-        rng = np.random.default_rng(3)
-        ids = rng.integers(1, model.config.vocab_size, size=(2, 12))
-        slab = model.init_cache()
-        legacy = model.init_cache(layout="legacy")
-        from repro.autograd import no_grad
-
-        with no_grad():
-            for position in range(ids.shape[1]):
-                step = ids[:, position: position + 1]
-                a = model.forward_incremental(step, position, slab)
-                b = model.forward_incremental(step, position, legacy)
-                np.testing.assert_array_equal(a.data, b.data)
-
-    def test_generate_uses_slab_by_default(self, model):
-        caches = model.init_cache()
-        assert isinstance(caches[0], KVCache)
-        assert isinstance(model.init_cache(layout="legacy")[0], dict)
-
-    def test_unknown_layout_rejected(self, model):
-        with pytest.raises(ValueError):
-            model.init_cache(layout="paged")
-
-
 def _toy_layers(tokens: int, fill: float = 1.0):
     """One-layer (k, v) span of shape (2 heads, tokens, 3 dims)."""
     k = np.full((2, tokens, 3), fill) * np.arange(1, tokens + 1)[None, :, None]
@@ -821,7 +810,10 @@ class TestPrefixEquivalence:
     ):
         config = GenerationConfig(max_new_tokens=8)
         requests = [BatchRequest(p, config) for p in shared_header_prompts]
-        expected = [generate(model, p, config) for p in shared_header_prompts]
+        expected = [
+            generate(model, p, config, use_cache=False)
+            for p in shared_header_prompts
+        ]
         plain = BatchedGenerator(model).generate(requests)
         cached = BatchedGenerator(model, prefix_cache=PrefixCache()).generate(
             requests
@@ -834,7 +826,10 @@ class TestPrefixEquivalence:
     ):
         config = GenerationConfig(max_new_tokens=6)
         requests = [BatchRequest(p, config) for p in shared_header_prompts]
-        expected = [generate(model, p, config) for p in shared_header_prompts]
+        expected = [
+            generate(model, p, config, use_cache=False)
+            for p in shared_header_prompts
+        ]
         cache = PrefixCache()
         BatchedGenerator(model, prefix_cache=cache).generate(requests)
         warm = BatchedGenerator(model, prefix_cache=cache)
@@ -848,7 +843,10 @@ class TestPrefixEquivalence:
         self, model, shared_header_prompts
     ):
         config = GenerationConfig(max_new_tokens=6)
-        expected = [generate(model, p, config) for p in shared_header_prompts]
+        expected = [
+            generate(model, p, config, use_cache=False)
+            for p in shared_header_prompts
+        ]
         # Budget fits one 16-token prompt (16 KiB of K/V) but not the
         # whole sweep, so inserts are accepted and then evict constantly
         # while the sweep runs. (A budget below a single prompt would be
@@ -871,7 +869,10 @@ class TestPrefixEquivalence:
             max_new_tokens=6, strategy="sample", temperature=0.9, seed=17
         )
         expected = [
-            generate(model, prompt, dataclasses.replace(config, seed=17 + j))
+            generate(
+                model, prompt, dataclasses.replace(config, seed=17 + j),
+                use_cache=False,
+            )
             for j in range(3)
         ]
         cache = PrefixCache()
@@ -924,7 +925,7 @@ class TestContinuousBatching:
     def test_matches_sequential_and_barriered(self, model, ragged_prompts):
         config = GenerationConfig(max_new_tokens=9)
         requests = [BatchRequest(p, config) for p in ragged_prompts]
-        expected = [generate(model, p, config) for p in ragged_prompts]
+        expected = [generate(model, p, config, use_cache=False) for p in ragged_prompts]
         generator = BatchedGenerator(model)
         results = generator.generate_continuous(requests, max_active=3)
         assert [r.sequences[0] for r in results] == expected
@@ -947,7 +948,10 @@ class TestContinuousBatching:
         requests = [BatchRequest(p, config, n=2) for p in ragged_prompts[:3]]
         expected = [
             [
-                generate(model, p, dataclasses.replace(config, seed=23 + j))
+                generate(
+                    model, p, dataclasses.replace(config, seed=23 + j),
+                    use_cache=False,
+                )
                 for j in range(2)
             ]
             for p in ragged_prompts[:3]
@@ -981,7 +985,10 @@ class TestContinuousBatching:
     def test_with_prefix_cache(self, model, shared_header_prompts):
         config = GenerationConfig(max_new_tokens=7)
         requests = [BatchRequest(p, config) for p in shared_header_prompts]
-        expected = [generate(model, p, config) for p in shared_header_prompts]
+        expected = [
+            generate(model, p, config, use_cache=False)
+            for p in shared_header_prompts
+        ]
         generator = BatchedGenerator(model, prefix_cache=PrefixCache())
         results = generator.generate_continuous(requests, max_active=2)
         assert [r.sequences[0] for r in results] == expected
@@ -995,9 +1002,11 @@ class TestContinuousBatching:
         tickets_b = [continuous.submit(BatchRequest(p, config)) for p in ragged_prompts]
         results_a = barriered.run()
         results_b = continuous.run()
-        assert [results_a[t].sequences for t in tickets_a] == [
-            results_b[t].sequences for t in tickets_b
+        expected = [
+            [generate(model, p, config, use_cache=False)] for p in ragged_prompts
         ]
+        assert [results_a[t].sequences for t in tickets_a] == expected
+        assert [results_b[t].sequences for t in tickets_b] == expected
         assert continuous.stats.refills > 0
         assert continuous.stats.microbatches == 1
         assert barriered.stats.refills == 0
@@ -1021,7 +1030,7 @@ class TestMidStreamCancellation:
         self, model, ragged_prompts
     ):
         config = GenerationConfig(max_new_tokens=9)
-        expected = [generate(model, p, config) for p in ragged_prompts]
+        expected = [generate(model, p, config, use_cache=False) for p in ragged_prompts]
         steps = []
 
         def cancel_first_at_step_three(active, queued):

@@ -3,11 +3,14 @@
 The load-bearing property everywhere: greedy speculative output is
 **token-identical** to plain decoding — the draft model only changes how
 many tokens each target forward advances, never which tokens come out.
-Every test here asserts identity against the plain path, across drafts
-of every quality (always-wrong, perfect, distilled).
+Every identity test here asserts it against the cache-free re-encode
+oracle ``generate(..., use_cache=False)``, across drafts of every
+quality (always-wrong, perfect, distilled).
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -19,14 +22,11 @@ from repro.models import GPTModel, ModelConfig
 from repro.serving import (
     BatchRequest,
     BatchScheduler,
-    BatchedGenerator,
-    KVCache,
     PrefixCache,
     SpeculativeGenerator,
     distill_draft,
     draft_config,
     engine_serving_stats,
-    speculative_generate,
 )
 
 
@@ -52,10 +52,18 @@ def distilled_draft(model, ragged_prompts):
     return distill_draft(model, ragged_prompts, steps=40, max_new_tokens=10)
 
 
-def _plain(model, prompts, config, **kwargs):
-    return BatchedGenerator(model).generate(
-        [BatchRequest(p, config, **kwargs) for p in prompts]
-    )
+def _expected(model, prompts, config, constraint=None, n=1):
+    """The oracle: every choice of every prompt re-encoded alone."""
+    return [
+        [
+            generate(
+                model, p, dataclasses.replace(config, seed=config.seed + j),
+                constraint, use_cache=False,
+            )
+            for j in range(n)
+        ]
+        for p in prompts
+    ]
 
 
 class EvenOnly:
@@ -70,54 +78,46 @@ class EvenOnly:
         return list(range(0, self.vocab, 2))
 
 
-class TestKVCacheTruncate:
-    def test_truncate_rewinds_live_prefix(self):
-        cache = KVCache()
-        step = np.arange(2 * 2 * 3 * 4, dtype=float).reshape(2, 2, 3, 4)
-        cache.append(step, step * 2)
-        cache.truncate(1)
-        assert len(cache) == 1
-        keys, values = cache.append(step[:, :, :1], step[:, :, :1])
-        # Column 0 survives the rewind; column 1 is the new append.
-        np.testing.assert_array_equal(keys[:, :, 0], step[:, :, 0])
-        assert keys.shape[2] == 2
+def _mid_run_stop(model, prompts):
+    """A greedy config whose stop id lands inside the first k=4 verify
+    run: the third token of the first long-enough oracle stream."""
+    config = GenerationConfig(max_new_tokens=10)
+    for (seq,) in _expected(model, prompts, config):
+        if len(seq) >= 4:
+            return GenerationConfig(max_new_tokens=10, stop_ids=(seq[2],))
+    raise AssertionError("no oracle stream is long enough to stop mid-run")
 
-    def test_truncate_to_full_length_is_noop(self):
-        cache = KVCache()
-        cache.append(np.ones((1, 2, 4, 3)), np.ones((1, 2, 4, 3)))
-        cache.truncate(4)
-        assert len(cache) == 4
 
-    def test_truncate_bounds_checked(self):
-        cache = KVCache()
-        cache.append(np.ones((1, 2, 3, 3)), np.ones((1, 2, 3, 3)))
-        with pytest.raises(ValueError):
-            cache.truncate(4)
-        with pytest.raises(ValueError):
-            cache.truncate(-1)
-
+class TestSlottedCacheRewind:
     def test_truncated_columns_are_overwritten_not_reused(self, model):
-        """Decoding, rewinding, and decoding a different token must give
-        the same logits as never having decoded the rejected token."""
+        """Rejecting a speculated token is a length rewind: decoding a
+        different token into the same column must give the same logits
+        as never having decoded the rejected one."""
         from repro.autograd import no_grad
+        from repro.nn import chunk_causal_mask
 
-        caches = model.init_cache()
-        fresh = model.init_cache()
+        caches = model.init_cache(batch_size=1, capacity=4)
+        fresh = model.init_cache(batch_size=1, capacity=4)
+        prompt = np.array([[5, 9, 2]])
+        positions = np.arange(3)[None, :]
+        blocked = chunk_causal_mask(0, 3)[None, None]
+
+        def step(token, target):
+            return model.forward_chunk(
+                np.array([[token]]), np.array([[3]]), target,
+                write_cols=np.array([3]), kv_len=4,
+            )
+
         with no_grad():
-            prompt = np.array([[5, 9, 2]])
-            positions = np.arange(3)[None, :]
-            from repro.nn import chunk_causal_mask
-
-            blocked = chunk_causal_mask(0, 3)[None, None]
-            model.forward_chunk(prompt, positions, caches, blocked=blocked)
-            model.forward_chunk(prompt, positions, fresh, blocked=blocked)
-            # Optimistically decode token 7, then reject it.
-            model.forward_incremental(np.array([[7]]), 3, caches)
-            for cache in caches:
-                cache.truncate(3)
-            a = model.forward_incremental(np.array([[11]]), 3, caches)
-            b = model.forward_incremental(np.array([[11]]), 3, fresh)
-            np.testing.assert_array_equal(a.data, b.data)
+            for target in (caches, fresh):
+                model.forward_chunk(
+                    prompt, positions, target, blocked=blocked,
+                    write_cols=slice(0, 3), kv_len=3,
+                )
+            step(7, caches)  # optimistically decode 7, then reject it
+            np.testing.assert_array_equal(
+                step(11, caches).data, step(11, fresh).data
+            )
 
 
 class TestSpeculativeIdentity:
@@ -125,54 +125,43 @@ class TestSpeculativeIdentity:
 
     def test_always_wrong_draft_is_identical(self, model, bad_draft, ragged_prompts):
         config = GenerationConfig(max_new_tokens=10)
-        base = _plain(model, ragged_prompts, config)
+        base = _expected(model, ragged_prompts, config)
         spec = SpeculativeGenerator(model, bad_draft, k=3)
         out = spec.generate([BatchRequest(p, config) for p in ragged_prompts])
-        assert [r.sequences for r in out] == [r.sequences for r in base]
+        assert [r.sequences for r in out] == base
         # Even a useless draft must not fall back to plain decode.
         assert spec.stats.verify_forwards > 0
         assert spec.stats.draft_tokens > 0
 
     def test_perfect_draft_accepts_everything(self, model, ragged_prompts):
         config = GenerationConfig(max_new_tokens=10)
-        base = _plain(model, ragged_prompts, config)
+        base = _expected(model, ragged_prompts, config)
         spec = SpeculativeGenerator(model, model, k=4)
         out = spec.generate([BatchRequest(p, config) for p in ragged_prompts])
-        assert [r.sequences for r in out] == [r.sequences for r in base]
+        assert [r.sequences for r in out] == base
         assert spec.stats.acceptance_rate == 1.0
 
     def test_distilled_draft_is_identical(self, model, distilled_draft, ragged_prompts):
         config = GenerationConfig(max_new_tokens=10)
-        base = _plain(model, ragged_prompts, config)
+        base = _expected(model, ragged_prompts, config)
         spec = SpeculativeGenerator(model, distilled_draft, k=4)
         out = spec.generate([BatchRequest(p, config) for p in ragged_prompts])
-        assert [r.sequences for r in out] == [r.sequences for r in base]
+        assert [r.sequences for r in out] == base
         assert spec.stats.acceptance_rate > 0.0
 
     def test_stop_token_inside_accepted_run(self, model, ragged_prompts):
         """A stop id hit mid-run must end the sequence exactly where the
-        plain engine ends it, discarding the speculated tail."""
-        # Use the model's own greedy stream to find a token that appears
-        # mid-sequence, then decode again with it as a stop id.
-        config = GenerationConfig(max_new_tokens=10)
-        probe = _plain(model, ragged_prompts, config)
-        stop = None
-        for result in probe:
-            seq = result.sequences[0]
-            if len(seq) >= 4:
-                stop = seq[2]  # lands inside the first k=4 verify run
-                break
-        assert stop is not None
-        stopped = GenerationConfig(max_new_tokens=10, stop_ids=(stop,))
-        base = _plain(model, ragged_prompts, stopped)
+        oracle ends it, discarding the speculated tail."""
+        stopped = _mid_run_stop(model, ragged_prompts)
+        base = _expected(model, ragged_prompts, stopped)
         spec = SpeculativeGenerator(model, model, k=4)
         out = spec.generate([BatchRequest(p, stopped) for p in ragged_prompts])
-        assert [r.sequences for r in out] == [r.sequences for r in base]
+        assert [r.sequences for r in out] == base
 
     def test_constraints_and_multi_choice(self, model, distilled_draft, ragged_prompts):
         config = GenerationConfig(max_new_tokens=10)
         constraint = EvenOnly(model.config.vocab_size)
-        base = _plain(model, ragged_prompts, config, constraint=constraint, n=2)
+        base = _expected(model, ragged_prompts, config, constraint, n=2)
         spec = SpeculativeGenerator(model, distilled_draft, k=3)
         out = spec.generate(
             [
@@ -180,7 +169,7 @@ class TestSpeculativeIdentity:
                 for p in ragged_prompts
             ]
         )
-        assert [r.sequences for r in out] == [r.sequences for r in base]
+        assert [r.sequences for r in out] == base
         for result in out:
             assert len(result.sequences) == 2
             for seq in result.sequences:
@@ -190,10 +179,10 @@ class TestSpeculativeIdentity:
         config = GenerationConfig(
             max_new_tokens=8, strategy="sample", temperature=0.8, seed=5
         )
-        base = _plain(model, ragged_prompts, config)
+        base = _expected(model, ragged_prompts, config)
         spec = SpeculativeGenerator(model, bad_draft, k=3)
         out = spec.generate([BatchRequest(p, config) for p in ragged_prompts])
-        assert [r.sequences for r in out] == [r.sequences for r in base]
+        assert [r.sequences for r in out] == base
         assert spec.stats.verify_forwards == 0  # no speculative work
 
     def test_oversized_prompt_uses_sequential_fallback(self, model, bad_draft):
@@ -203,7 +192,7 @@ class TestSpeculativeIdentity:
         spec = SpeculativeGenerator(model, bad_draft, k=3)
         out = spec.generate([BatchRequest(big, config)])
         assert out[0].batched is False
-        assert out[0].sequences == [generate(model, big, config)]
+        assert out[0].sequences == _expected(model, [big], config)[0]
 
     def test_speculative_path_exercised_guard(self, model, distilled_draft, ragged_prompts):
         """Tier-1 guard: the sweep must actually run the speculative
@@ -222,51 +211,47 @@ class TestSpeculativeIdentity:
         assert stats.decode_steps == 0  # plain decode loop never ran
 
 
-class TestSpeculativeSingleSequence:
-    def test_matches_generate_across_prompts(self, model, distilled_draft, ragged_prompts):
-        config = GenerationConfig(max_new_tokens=10)
-        for prompt in ragged_prompts:
-            expected = generate(model, prompt, config)
-            actual = speculative_generate(
-                model, distilled_draft, prompt, config, k=4
-            )
-            assert actual == expected
+class TestSpeculativeBatchOfOne:
+    """One request per call — how ``CompletionClient.complete`` drives a
+    speculative engine."""
 
-    def test_matches_generate_with_bad_draft(self, model, bad_draft, ragged_prompts):
+    @pytest.mark.parametrize("draft_name", ["bad_draft", "distilled_draft"])
+    def test_each_prompt_alone_matches_oracle(
+        self, request, model, ragged_prompts, draft_name
+    ):
+        draft = request.getfixturevalue(draft_name)
         config = GenerationConfig(max_new_tokens=10)
-        for prompt in ragged_prompts[:3]:
-            assert speculative_generate(
-                model, bad_draft, prompt, config, k=3
-            ) == generate(model, prompt, config)
+        spec = SpeculativeGenerator(model, draft, k=3)
+        expected = _expected(model, ragged_prompts, config)
+        for prompt, want in zip(ragged_prompts, expected):
+            (result,) = spec.generate([BatchRequest(prompt, config)])
+            assert result.sequences == want
+        assert spec.stats.verify_forwards > 0
 
-    def test_constraint_identity(self, model, bad_draft, ragged_prompts):
+    def test_constraint_alone(self, model, bad_draft, ragged_prompts):
         config = GenerationConfig(max_new_tokens=10)
         constraint = EvenOnly(model.config.vocab_size)
-        for prompt in ragged_prompts[:3]:
-            assert speculative_generate(
-                model, bad_draft, prompt, config, constraint, k=3
-            ) == generate(model, prompt, config, constraint)
+        spec = SpeculativeGenerator(model, bad_draft, k=3)
+        expected = _expected(model, ragged_prompts[:3], config, constraint)
+        for prompt, want in zip(ragged_prompts[:3], expected):
+            (result,) = spec.generate(
+                [BatchRequest(prompt, config, constraint=constraint)]
+            )
+            assert result.sequences == want
 
-    def test_sampled_config_delegates(self, model, bad_draft, ragged_prompts):
-        config = GenerationConfig(
-            max_new_tokens=6, strategy="sample", temperature=0.7, seed=9
-        )
-        prompt = ragged_prompts[0]
-        assert speculative_generate(
-            model, bad_draft, prompt, config, k=3
-        ) == generate(model, prompt, config)
-
-    def test_empty_prompt_rejected(self, model, bad_draft):
-        with pytest.raises(GenerationError):
-            speculative_generate(model, bad_draft, [])
+    def test_stop_inside_run_alone(self, model, ragged_prompts):
+        stopped = _mid_run_stop(model, ragged_prompts)
+        spec = SpeculativeGenerator(model, model, k=4)
+        expected = _expected(model, ragged_prompts, stopped)
+        for prompt, want in zip(ragged_prompts, expected):
+            (result,) = spec.generate([BatchRequest(prompt, stopped)])
+            assert result.sequences == want
 
 
 class TestSpeculativeValidation:
     def test_nonpositive_k_rejected(self, model, bad_draft):
         with pytest.raises(GenerationError):
             SpeculativeGenerator(model, bad_draft, k=0)
-        with pytest.raises(GenerationError):
-            speculative_generate(model, bad_draft, [1, 2], k=0)
 
     def test_vocab_mismatch_rejected(self, model):
         other = GPTModel(ModelConfig.tiny(vocab_size=32), seed=1)
@@ -296,8 +281,9 @@ class TestSpeculativeScheduler:
         spec_tickets = [spec.submit(BatchRequest(p, config)) for p in ragged_prompts]
         plain_results = plain.run()
         spec_results = spec.run()
-        for pt, st in zip(plain_tickets, spec_tickets):
-            assert spec_results[st].sequences == plain_results[pt].sequences
+        expected = _expected(model, ragged_prompts, config)
+        assert [plain_results[t].sequences for t in plain_tickets] == expected
+        assert [spec_results[t].sequences for t in spec_tickets] == expected
         assert spec.stats.verify_forwards > 0
         assert spec.stats.draft_tokens > 0
         assert 0.0 < spec.stats.acceptance_rate <= 1.0
@@ -320,10 +306,9 @@ class TestSpeculativeScheduler:
         for p in ragged_prompts:
             scheduler.submit(BatchRequest(p, config))
         results = scheduler.run()
-        plain = _plain(model, ragged_prompts, config)
-        assert [results[t].sequences for t in sorted(results)] == [
-            r.sequences for r in plain
-        ]
+        assert [results[t].sequences for t in sorted(results)] == _expected(
+            model, ragged_prompts, config
+        )
         assert target_cache.stats.inserted_tokens > 0
         assert draft_cache.stats.inserted_tokens > 0
 
